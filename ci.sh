@@ -15,8 +15,11 @@ cargo build --release --offline
 echo "==> cargo clippy (-D warnings)"
 cargo clippy --all-targets --offline -- -D warnings
 
-echo "==> cargo test -q"
-cargo test -q --offline
+# The workspace root is also a package: without --workspace only the
+# root package's tests would run, leaving every psi-core suite
+# (service, sharded, evolving, adaptive, compact, net) out of the gate.
+echo "==> cargo test -q --workspace"
+cargo test -q --offline --workspace
 
 # The fault-injection differential suite is the robustness gate: it
 # proves panic isolation, budget-escalation recovery, and worker-death

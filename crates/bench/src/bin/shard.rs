@@ -1,8 +1,8 @@
-//! Shard bench — scatter-gather [`ShardedService`] vs. one
+//! Shard bench — a scatter-gather sharded [`Deployment`] vs. one
 //! single-context [`PsiService`] with the same total worker count on a
 //! generated 500k-node graph. Writes `BENCH_shard.json`.
 //!
-//! PR 6's serving claim is about *memory locality*, not raw speed: a
+//! The sharded serving claim is about *memory locality*, not raw speed: a
 //! range shard only materializes its owned range plus a depth-`D` halo,
 //! so each shard's signature slab is a fraction of the full matrix —
 //! the property that lets a deployment place shards on machines that
@@ -24,7 +24,7 @@
 //!   single-context service's. A locality win with wrong answers is
 //!   no win.
 //!
-//! [`ShardedService`]: psi_core::ShardedService
+//! [`Deployment`]: psi_core::Deployment
 //! [`PsiService`]: psi_core::PsiService
 
 use std::fmt::Write as _;
@@ -116,11 +116,9 @@ fn main() {
         queries.len()
     );
 
-    let (sharded, t_cut) = time(|| {
-        smart
-            .deploy(&DeploymentSpec::new().shards(SHARDS).workers(WORKERS))
-            .into_sharded()
-    });
+    let (sharded, t_cut) =
+        time(|| smart.deploy(&DeploymentSpec::new().shards(SHARDS).workers(WORKERS)));
+    let halo_depth = sharded.halo_depth().expect("a sharded deployment has a halo");
     eprintln!("[shard] {SHARDS} shards × {WORKERS} workers cut in {t_cut:.2?}");
 
     // Peak per-shard slab vs. the full matrix — the locality claim.
@@ -212,7 +210,7 @@ fn main() {
     println!(
         "sharded vs single-context: {ratio:.2}x wall, {:.0}% peak slab, halo depth {}",
         slab_ratio * 100.0,
-        sharded.halo_depth()
+        halo_depth
     );
 
     let mut json = String::new();
@@ -225,7 +223,7 @@ fn main() {
     );
     let _ = writeln!(json, "  \"shards\": {SHARDS},");
     let _ = writeln!(json, "  \"workers_per_shard\": {WORKERS},");
-    let _ = writeln!(json, "  \"halo_depth\": {},", sharded.halo_depth());
+    let _ = writeln!(json, "  \"halo_depth\": {halo_depth},");
     let _ = writeln!(json, "  \"jobs\": {},", queries.len());
     let _ = writeln!(json, "  \"single_ms\": {t_single:.1},");
     let _ = writeln!(json, "  \"sharded_ms\": {t_sharded:.1},");

@@ -201,9 +201,9 @@ pub(crate) struct Admission {
 }
 
 /// The mutable core of one adaptation loop. Owned behind a mutex by a
-/// [`PsiService`](super::service::PsiService) (and, in collect-only
-/// mode, by each shard cell of a
-/// [`ShardedService`](super::shard::ShardedService)).
+/// [`PsiService`](super::service::PsiService) (in collect-only mode
+/// when the service is one shard cell of a sharded
+/// [`Deployment`](super::deploy::Deployment)).
 pub(crate) struct AdaptiveState {
     cfg: AdaptiveConfig,
     forest: ForestConfig,
@@ -353,16 +353,6 @@ impl AdaptiveState {
         self.since_refit = 0;
     }
 
-    /// Install externally fitted models (the sharded coordinator's
-    /// merged refit pushes through here for stats visibility).
-    pub(crate) fn install(&mut self, models: Arc<AdaptedModels>) {
-        self.stats.model_version = models.version;
-        self.stats.refits += 1;
-        self.models = Some(models);
-        self.since_refit = 0;
-        self.refit_forced = false;
-    }
-
     /// Snapshot of the current reservoir (the sharded coordinator
     /// gathers these for its merged refit).
     pub(crate) fn rows(&self) -> Vec<FeedbackRow> {
@@ -379,11 +369,6 @@ impl AdaptiveState {
             reservoir: self.reservoir.len(),
             ..self.stats
         }
-    }
-
-    #[cfg(test)]
-    pub(crate) fn dim(&self) -> usize {
-        self.dim
     }
 }
 

@@ -40,13 +40,14 @@ use psi_signature::{IncrementalSignatures, SignatureMatrix};
 
 use super::context::{GraphContext, SmartPsiConfig};
 
-/// What one applied update batch did (see
-/// [`EvolvingContext::apply`] / `PsiService::apply_update`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// What one applied update batch did (see [`EvolvingContext::apply`],
+/// `PsiService::apply_update` and `Deployment::apply_update`).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UpdateReport {
-    /// The epoch the batch published (monotonic, starts at 1).
+    /// The epoch the batch published (monotonic, starts at 1). On a
+    /// sharded deployment: the highest per-shard epoch after the batch.
     pub epoch: u64,
-    /// Nodes appended.
+    /// Nodes appended (owned by the last shard when sharded).
     pub nodes_added: usize,
     /// Edges newly inserted.
     pub edges_added: usize,
@@ -54,6 +55,11 @@ pub struct UpdateReport {
     pub duplicate_edges: usize,
     /// Signature rows recomputed by the incremental repair.
     pub rows_repaired: usize,
+    /// Cells (shards) the batch rebuilt and republished, ascending. A
+    /// single context is cell 0 and republishes on every batch.
+    pub affected_shards: Vec<usize>,
+    /// Per-cell epochs after the batch.
+    pub shard_epochs: Vec<u64>,
 }
 
 /// Why an update could not be applied.
@@ -93,6 +99,25 @@ impl std::error::Error for UpdateError {
 impl From<GraphError> for UpdateError {
     fn from(e: GraphError) -> Self {
         UpdateError::Graph(e)
+    }
+}
+
+/// The incremental signature maintainer of `g` on `config`'s store
+/// backend, reserving `label_capacity` labels (clamped up to `g`'s).
+/// A `seed` — `g`'s dense rows at `config.depth` — is reused instead of
+/// recomputed.
+pub(crate) fn maintainer(
+    g: &Graph,
+    config: &SmartPsiConfig,
+    label_capacity: usize,
+    seed: Option<&SignatureMatrix>,
+) -> IncrementalSignatures {
+    let capacity = label_capacity.max(g.label_count());
+    let dyng = DynamicGraph::from_graph(g);
+    let (depth, kind) = (config.depth, config.sig_store);
+    match seed {
+        Some(m) => IncrementalSignatures::from_precomputed(dyng, depth, capacity, m, kind),
+        None => IncrementalSignatures::with_store(dyng, depth, capacity, kind),
     }
 }
 
@@ -163,19 +188,8 @@ impl EvolvingContext {
         label_capacity: usize,
         seed: Option<&SignatureMatrix>,
     ) -> Self {
-        let capacity = label_capacity.max(g.label_count());
         let t0 = Instant::now();
-        let dyng = DynamicGraph::from_graph(&g);
-        let inc = match seed {
-            Some(m) => IncrementalSignatures::from_precomputed(
-                dyng,
-                config.depth,
-                capacity,
-                m,
-                config.sig_store,
-            ),
-            None => IncrementalSignatures::with_store(dyng, config.depth, capacity, config.sig_store),
-        };
+        let inc = maintainer(&g, &config, label_capacity, seed);
         // Epoch 0 reuses the caller's CSR directly; the maintainer's
         // initial matrix came from the same batch build, so trimming
         // its capacity padding reproduces it bit-for-bit.
@@ -240,6 +254,8 @@ impl EvolvingContext {
                     edges_added: stats.edges_added,
                     duplicate_edges: stats.duplicate_edges,
                     rows_repaired: stats.rows_repaired,
+                    affected_shards: vec![0],
+                    shard_epochs: vec![self.epoch],
                 },
                 ctx,
             )

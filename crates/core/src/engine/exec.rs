@@ -47,9 +47,9 @@
 //! worker death.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
-use parking_lot::Mutex;
 use psi_graph::hash::{FxHashMap, FxHasher};
 use psi_graph::{NodeId, PivotedQuery};
 use psi_obs::{timed, Counter, Histogram, MetricsRecorder, NoopRecorder, Phase, Recorder};
@@ -61,6 +61,7 @@ use crate::limits::EvalLimits;
 use crate::report::{PsiResult, StageTimings};
 use crate::single::{pivot_candidates, RunOptions};
 use crate::smart::{RunParams, RunSpec, SmartPsiReport};
+use crate::sync::{into_inner, lock};
 use crate::twothread::two_threaded_psi_presig;
 
 use super::context::GraphContext;
@@ -185,7 +186,7 @@ impl PredictionCache {
     /// the entry was predicted by the given adapted-model version, so
     /// predictions from superseded refits read as misses.
     pub fn get_versioned(&self, key: &SignatureKey, model_version: u64) -> Option<(usize, usize)> {
-        let entry = self.shards[self.shard_of(key)].lock().get(key).copied()?;
+        let entry = lock(&self.shards[self.shard_of(key)]).get(key).copied()?;
         if entry.model_version != model_version {
             return None;
         }
@@ -206,9 +207,8 @@ impl PredictionCache {
     /// version left behind.
     pub fn insert_versioned(&self, key: SignatureKey, model_version: u64, value: (usize, usize)) {
         let epoch = self.epoch.load(Ordering::Relaxed);
-        self.shards[self.shard_of(&key)]
-            .lock()
-            .insert(key, CacheEntry { value, epoch, model_version });
+        let entry = CacheEntry { value, epoch, model_version };
+        lock(&self.shards[self.shard_of(&key)]).insert(key, entry);
     }
 
     /// Mark a query boundary: entries inserted before this call count
@@ -225,7 +225,7 @@ impl PredictionCache {
 
     /// Total entries across all shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.shards.iter().map(|s| lock(s).len()).sum()
     }
 
     /// Whether the cache holds no entries.
@@ -532,7 +532,7 @@ impl GraphContext {
                         rec.span_ns(Phase::PoolSpawn, t0.elapsed().as_nanos() as u64);
                     }
                     let r = self.seq_run(query, Some(slice), limits, params, rec);
-                    *slot.lock() = Some(r);
+                    *lock(slot) = Some(r);
                 }) as pool::ScopedTask<'_>
             })
             .collect();
@@ -540,7 +540,7 @@ impl GraphContext {
         let reports: Vec<SmartPsiReport> = slices
             .iter()
             .zip(slots)
-            .map(|(slice, slot)| match slot.into_inner() {
+            .map(|(slice, slot)| match into_inner(slot) {
                 Some(r) => r,
                 None => {
                     // The chunk's task died outside the isolated
@@ -764,7 +764,7 @@ pub(crate) fn work_stealing(
                             break;
                         }
                         let end = (start + grab).min(bp.len());
-                        ledger.lock().inflight.push((start, end));
+                        lock(ledger).inflight.push((start, end));
                         // Simulated worker death: a KillWorker fault
                         // on any node of this grab kills the task
                         // before evaluation; the grab stays in the
@@ -780,7 +780,7 @@ pub(crate) fn work_stealing(
                             ctx, sess, &mut matcher, bp, start, end, limits, params, wrec,
                         );
                         {
-                            let mut l = ledger.lock();
+                            let mut l = lock(ledger);
                             l.partials.push(part);
                             if let Some(pos) =
                                 l.inflight.iter().position(|&r| r == (start, end))
@@ -808,7 +808,7 @@ pub(crate) fn work_stealing(
     let PoolLedger {
         mut partials,
         inflight,
-    } = ledger.into_inner();
+    } = into_inner(ledger);
 
     // ---- Requeue grabs dropped by dead workers ---------------------
     if !inflight.is_empty() {

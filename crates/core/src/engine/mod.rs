@@ -20,19 +20,20 @@
 //!   service   PsiService: a persistent worker pool serving a stream
 //!      │      of (query, spec) jobs with cross-query cache reuse
 //!      ▼
-//!   shard     ShardedService: scatter-gather over range-partitioned
-//!      │      shards, each a PsiService with a ghost-node halo
+//!   deploy    Deployment: N ≥ 1 PsiService cells — one over the whole
+//!      │      graph, or scatter-gather over range shards with a
+//!      │      ghost-node halo — behind one submit/update/stats/drain
 //!      ▼
-//!   net       NetServer: the TCP front door — line-JSON protocol
-//!             (proto), token-bucket quotas, cost-laddered queue
-//!             shedding, deadlines, graceful drain
+//!   net       NetServer: the TCP front door over any Deployment —
+//!             line-JSON protocol (proto), token-bucket quotas,
+//!             cost-laddered queue shedding, deadlines, graceful drain
 //! ```
 //!
 //! Three side modules ride on the stack: [`evolve`] maintains an
 //! incrementally-updated deployment ([`EvolvingContext`]), [`shard`]
-//! fans queries out across per-range contexts, and the crate-private
-//! `pool` owns the process-global lazy worker pool both parallel
-//! drivers draw their OS threads from.
+//! holds the partition, halo and merge math of sharded deployments,
+//! and the crate-private `pool` owns the process-global lazy worker
+//! pool both parallel drivers draw their OS threads from.
 //!
 //! [`crate::smart`] remains the thin public facade: [`SmartPsi`]
 //! wraps an `Arc<GraphContext>` and `SmartPsi::run` dispatches through
@@ -66,7 +67,4 @@ pub use service::{
     DrainReport, JobHandle, PsiService, ServiceStats, ABORTED_BY_SHUTDOWN_REASON,
     DEADLINE_EXPIRED_REASON,
 };
-pub use shard::{
-    ShardBalance, ShardSpec, ShardedJobHandle, ShardedService, ShardedUpdateReport, SubmitError,
-    DEFAULT_HALO_DEPTH,
-};
+pub use shard::{ShardBalance, SubmitError, DEFAULT_HALO_DEPTH};

@@ -43,7 +43,7 @@
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -54,19 +54,12 @@ use psi_obs::{Counter, Histogram, MetricsRecorder, Phase, Recorder};
 use crate::fault::panic_reason;
 use crate::report::{FeedbackRow, PsiResult};
 use crate::smart::{RunSpec, SmartPsi};
+use crate::sync::{lock, read, write};
 
-use super::adapt::{AdaptedModels, AdaptiveConfig, AdaptiveState, AdaptiveStats};
+use super::adapt::{AdaptiveConfig, AdaptiveState, AdaptiveStats};
 use super::context::GraphContext;
 use super::evolve::{EvolvingContext, UpdateError, UpdateReport};
 use super::exec::PredictionCache;
-
-/// Lock a mutex, riding through poisoning: a worker that panicked
-/// while holding the lock has already had its job accounted for by the
-/// catch_unwind in `worker_loop`, so the protected state stays
-/// consistent and the service keeps serving.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// Failure reason recorded on a job whose deadline (or cancel flag)
 /// fired while it was still queued: the job is answered with this
@@ -104,7 +97,7 @@ pub struct DrainReport {
 }
 
 impl DrainReport {
-    /// Merge another report into this one (the sharded fan-in).
+    /// Merge another report into this one (a multi-cell drain).
     pub fn absorb(&mut self, other: DrainReport) {
         self.drained += other.drained;
         self.aborted += other.aborted;
@@ -207,13 +200,10 @@ struct ServiceInner {
 }
 
 impl ServiceInner {
-    /// The snapshot new jobs should run against, riding poisoning like
-    /// [`lock`] (the swap in `apply_update` cannot leave it torn).
+    /// The snapshot new jobs should run against (the swap in
+    /// `apply_update` cannot leave it torn).
     fn current_ctx(&self) -> Arc<GraphContext> {
-        self.ctx
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
+        read(&self.ctx).clone()
     }
 
     /// The shared cache for this query's shape at this graph epoch,
@@ -396,11 +386,7 @@ impl PsiService {
             return Err(UpdateError::StaticDeployment);
         };
         let report = ev.apply_recorded(updates, &self.inner.metrics)?;
-        *self
-            .inner
-            .ctx
-            .write()
-            .unwrap_or_else(|e| e.into_inner()) = ev.current();
+        *write(&self.inner.ctx) = ev.current();
         let retired = {
             let mut caches = lock(&self.inner.caches);
             let n = caches.len();
@@ -423,16 +409,14 @@ impl PsiService {
     /// cross-query prediction cache (their epoch key is stale).
     ///
     /// This is the publish half of [`PsiService::apply_update`] without
-    /// the signature repair: the sharded scatter-gather layer owns one
-    /// global incremental maintainer and pushes rebuilt per-shard
-    /// snapshots into each affected shard's service through here.
+    /// the signature repair: a sharded [`Deployment`] owns one global
+    /// incremental maintainer and pushes rebuilt per-shard snapshots
+    /// into each affected cell through here.
+    ///
+    /// [`Deployment`]: super::deploy::Deployment
     pub(crate) fn publish_ctx(&self, ctx: Arc<GraphContext>) {
         let dim = ctx.signatures().label_count() + 1;
-        *self
-            .inner
-            .ctx
-            .write()
-            .unwrap_or_else(|e| e.into_inner()) = ctx;
+        *write(&self.inner.ctx) = ctx;
         let retired = {
             let mut caches = lock(&self.inner.caches);
             let n = caches.len();
@@ -479,7 +463,7 @@ impl PsiService {
             // serial client's admission order matches its submission
             // order (determinism of the ε stream and refit points).
             // Or-semantics on explore/adapted let an outer coordinator
-            // (the sharded layer) pre-fill them; this service's own
+            // (a sharded deployment) pre-fill them; this service's own
             // draw only applies when the spec arrives unset.
             let seq = match &self.inner.adaptive {
                 Some(a) => {
@@ -620,20 +604,10 @@ impl PsiService {
         self.inner.adaptive.as_ref().map(|a| lock(a).stats())
     }
 
-    /// Clone of the current feedback reservoir (the sharded layer's
+    /// Clone of the current feedback reservoir (a sharded deployment's
     /// merged-refit input); `None` on a frozen service.
     pub(crate) fn adaptive_rows(&self) -> Option<Vec<FeedbackRow>> {
         self.inner.adaptive.as_ref().map(|a| lock(a).rows())
-    }
-
-    /// Install externally fit models into the adaptation loop (the
-    /// sharded layer pushes its merged refit down through here). A
-    /// no-op on a frozen service.
-    #[allow(dead_code)]
-    pub(crate) fn adaptive_install(&self, models: Arc<AdaptedModels>) {
-        if let Some(a) = &self.inner.adaptive {
-            lock(a).install(models);
-        }
     }
 }
 

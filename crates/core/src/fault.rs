@@ -30,14 +30,14 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
 use psi_graph::hash::{FxHashMap, FxHashSet, FxHasher};
 use psi_graph::NodeId;
 
 use crate::evaluator::{CompiledPlan, NodeEvaluator, QueryContext, Verdict};
 use crate::limits::EvalLimits;
+use crate::sync::lock;
 use crate::Strategy;
 
 /// A fault entry fires on every evaluation of its node.
@@ -173,7 +173,7 @@ impl FaultPlan {
         } else {
             return None;
         };
-        if !self.fired.lock().insert(node) {
+        if !lock(&self.fired).insert(node) {
             return None; // one-shot: already fired for this node
         }
         Some(kind)
@@ -208,7 +208,7 @@ impl FaultPlan {
     /// re-armed.
     pub fn project(&self, mapping: impl IntoIterator<Item = (NodeId, NodeId)>) -> FaultPlan {
         let mut out = FaultPlan::empty();
-        let fired = self.fired.lock();
+        let fired = lock(&self.fired);
         for (global, local) in mapping {
             if let Some(e) = self.entries.get(&global) {
                 out.entries.insert(

@@ -50,6 +50,7 @@ pub mod plan;
 pub mod report;
 pub mod single;
 pub mod smart;
+mod sync;
 pub mod twothread;
 
 pub use engine::adapt::{AdaptedModels, AdaptiveConfig, AdaptiveStats, MIN_REFIT_SAMPLES};
@@ -62,9 +63,7 @@ pub use engine::service::{
     DrainReport, JobHandle, PsiService, ServiceStats, ABORTED_BY_SHUTDOWN_REASON,
     DEADLINE_EXPIRED_REASON,
 };
-pub use engine::shard::{
-    ShardBalance, ShardSpec, ShardedJobHandle, ShardedService, ShardedUpdateReport, SubmitError,
-};
+pub use engine::shard::{ShardBalance, SubmitError};
 pub use evaluator::{NodeEvaluator, QueryContext, Verdict};
 pub use fault::{
     install_quiet_panic_hook, ChaosMatcher, FaultKind, FaultPlan, NodeMatcher, PsiMatcher,
@@ -99,7 +98,7 @@ pub mod prelude {
     pub use crate::engine::deploy::{Deployment, DeploymentHandle, DeploymentSpec};
     pub use crate::engine::evolve::{EvolvingContext, UpdateError, UpdateReport};
     pub use crate::engine::service::{DrainReport, JobHandle, PsiService, ServiceStats};
-    pub use crate::engine::shard::{ShardSpec, ShardedService, SubmitError};
+    pub use crate::engine::shard::SubmitError;
     pub use psi_graph::GraphUpdate;
     pub use crate::fault::FaultPlan;
     pub use crate::limits::EvalLimits;

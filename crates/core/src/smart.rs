@@ -40,8 +40,10 @@
 //! [`PsiResult`] carrying a [`QueryProfile`] — per-phase wall times,
 //! the metrics-registry counters, and log₂ step histograms (see
 //! [`psi_obs`]). For a *stream* of queries, [`SmartPsi::deploy`]
-//! spawns a persistent [`PsiService`]-backed deployment (single,
-//! sharded, or evolving) over the same context.
+//! spawns a persistent [`Deployment`] of [`PsiService`] cells
+//! (unsharded or sharded, static or evolving) over the same context.
+//!
+//! [`PsiService`]: crate::PsiService
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -53,10 +55,7 @@ use psi_signature::SigStore;
 use crate::engine::adapt::AdaptedModels;
 use crate::engine::context::GraphContext;
 use crate::engine::deploy::{Deployment, DeploymentSpec};
-use crate::engine::evolve::EvolvingContext;
 use crate::engine::exec::{executor_for, unresolved_report, PredictionCache};
-use crate::engine::service::PsiService;
-use crate::engine::shard::ShardedService;
 use crate::fault::FaultPlan;
 use crate::limits::EvalLimits;
 use crate::report::{PsiResult, StageTimings};
@@ -195,7 +194,7 @@ impl RunSpec {
     /// instead of the per-run cache the executor would otherwise
     /// create. Entries are confirmed model predictions keyed by exact
     /// signature, so pre-warmed entries change cost only, never the
-    /// answer. This is how a [`PsiService`] shares predictions across
+    /// answer. This is how a [`PsiService`](crate::PsiService) shares predictions across
     /// queries of the same shape; ignored when the config disables
     /// caching.
     pub fn cache(mut self, cache: Arc<PredictionCache>) -> Self {
@@ -289,7 +288,7 @@ impl RunParams {
 /// A SmartPSI deployment: one data graph, loaded in memory with all
 /// node signatures precomputed — a thin handle over an
 /// `Arc<`[`GraphContext`]`>`, so cloning facades (or spawning a
-/// [`PsiService`]) never re-reads the graph or rebuilds signatures.
+/// [`PsiService`](crate::PsiService)) never re-reads the graph or rebuilds signatures.
 pub struct SmartPsi {
     ctx: Arc<GraphContext>,
 }
@@ -414,7 +413,7 @@ impl SmartPsi {
     }
 
     /// Resolve a [`DeploymentSpec`] into a live [`Deployment`] — the
-    /// one front door over the whole serving matrix: single-service or
+    /// one front door over the whole serving matrix: unsharded or
     /// sharded, static or evolving, dense or compact signature store.
     ///
     /// When the spec names a [`psi_signature::SigStoreKind`] different
@@ -423,56 +422,7 @@ impl SmartPsi {
     /// deployment then serves the converted context, an evolving one
     /// rebuilds its maintainer with the requested backend.
     pub fn deploy(&self, spec: &DeploymentSpec) -> Deployment {
-        let workers = spec.worker_count();
-        match (spec.is_sharded(), spec.label_capacity()) {
-            (false, None) => {
-                let ctx = self.ctx_with_store(spec);
-                Deployment::Service(PsiService::with_adaptive(ctx, workers, spec.adaptive_cfg()))
-            }
-            (false, Some(cap)) => {
-                // The maintainer seeds from the current dense rows and
-                // publishes snapshots on the requested backend itself;
-                // converting the static context first would only throw
-                // the f32 seed away.
-                let evolving = EvolvingContext::from_context(&self.ctx, cap, spec.store_kind());
-                Deployment::Service(PsiService::spawn_evolving(
-                    evolving,
-                    workers,
-                    spec.adaptive_cfg(),
-                ))
-            }
-            (true, None) => {
-                let ctx = self.ctx_with_store(spec);
-                Deployment::Sharded(ShardedService::new(&ctx, &spec.shard_spec()))
-            }
-            (true, Some(cap)) => {
-                // The evolving maintainer rebuilds from the graph
-                // anyway; skip the context-store conversion and hand
-                // the requested backend straight to the builder.
-                let mut config = self.ctx.config().clone();
-                if let Some(k) = spec.store_kind() {
-                    config.sig_store = k;
-                }
-                Deployment::Sharded(ShardedService::new_evolving(
-                    self.ctx.graph().clone(),
-                    config,
-                    cap,
-                    &spec.shard_spec(),
-                ))
-            }
-        }
-    }
-
-    /// The deployment context, converted to the spec's signature-store
-    /// backend when one is requested and differs; otherwise the shared
-    /// context as-is.
-    fn ctx_with_store(&self, spec: &DeploymentSpec) -> Arc<GraphContext> {
-        match spec.store_kind() {
-            Some(k) if k != self.ctx.config().sig_store => {
-                Arc::new(self.ctx.with_store_kind(k))
-            }
-            _ => self.ctx.clone(),
-        }
+        Deployment::build(&self.ctx, spec)
     }
 
     /// Evaluate one PSI query — the unified entry point fronting every

@@ -7,7 +7,7 @@
 //! near-optimal in wall-clock, but (*i*) it burns two threads per task
 //! and (*ii*) it pays thread create/join overhead for every one of
 //! potentially millions of candidates — both costs are deliberately
-//! reproduced here (a fresh `crossbeam` scope per candidate), not
+//! reproduced here (a fresh `std::thread::scope` per candidate), not
 //! optimized away.
 //!
 //! ## Deterministic step accounting (logical lockstep)
@@ -134,19 +134,16 @@ pub(crate) fn two_threaded_psi_presig(
         };
         // A join error means the thread died outside the isolated
         // evaluation; fold it into the same "panicked" arm.
-        let (opt_out, pes_out) = match timed(rec, Phase::MatchS1, || {
-            crossbeam::thread::scope(|scope| {
-                let h1 = scope.spawn(|_| run(Strategy::optimistic()));
-                let h2 = scope.spawn(|_| run(Strategy::Pessimistic));
+        let (opt_out, pes_out) = timed(rec, Phase::MatchS1, || {
+            std::thread::scope(|scope| {
+                let h1 = scope.spawn(|| run(Strategy::optimistic()));
+                let h2 = scope.spawn(|| run(Strategy::Pessimistic));
                 (
                     h1.join().unwrap_or_else(|_| Err("optimistic thread died".into())),
                     h2.join().unwrap_or_else(|_| Err("pessimistic thread died".into())),
                 )
             })
-        }) {
-            Ok(pair) => pair,
-            Err(_) => (Err("race scope died".into()), Err("race scope died".into())),
-        };
+        });
 
         // Charge each side min(own steps, W): the loser may have
         // *executed* slightly past the bar before observing it, but the

@@ -168,7 +168,7 @@ fn evolving_compact_updates_match_cold_dense_engine() {
         GraphUpdate::AddEdge { u: 5, v: 300, label: 1 },
     ];
     mirror.apply(&batch).unwrap();
-    let epoch = dep.apply_update(&batch).unwrap();
+    let epoch = dep.apply_update(&batch).unwrap().epoch;
     assert_eq!(epoch, 1);
     let cold = SmartPsi::new(mirror.snapshot(), config(SigStoreKind::Dense));
     let want = cold.run(&q, &RunSpec::new());

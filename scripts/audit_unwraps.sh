@@ -63,9 +63,11 @@
 # stage-1/2/3 row read and the deploy front door is the one
 # constructor every serving topology now routes through — a panic in
 # either takes down the whole deployment, not one node. (deploy.rs's
-# `into_service`/`into_sharded` use documented explicit `panic!` for
-# caller topology-contract violations; the audit tracks the quiet
-# `.unwrap()`/`.expect(` sites, which must stay at zero.)
+# `into_service` uses a documented explicit `panic!` for a caller
+# topology-contract violation; the audit tracks the quiet
+# `.unwrap()`/`.expect(` sites, which must stay at zero.) deploy.rs
+# also holds the scatter-gather routing and merge of sharded
+# deployments, which is why shard.rs has its own line (above).
 #
 # engine/pool.rs (PR 9) gets a per-file zero-baseline line: the
 # shared lazy worker pool is process-global state under every parallel

@@ -131,3 +131,45 @@ fn duplicate_and_malformed_options_rejected() {
     let o = run(&["stats", "graph"]);
     assert!(!o.status.success());
 }
+
+#[test]
+fn batch_matches_query_unsharded_sharded_and_evolving() {
+    let dir = tmpdir("batch");
+    let (graph, queries, updates) = (dir.join("g.lg"), dir.join("q.q"), dir.join("u.up"));
+    let (graph_s, queries_s) = (graph.to_str().unwrap(), queries.to_str().unwrap());
+    let o = run(&[
+        "generate", "--dataset", "yeast", "--scale", "0.1", "--seed", "5", "--out", graph_s,
+    ]);
+    assert!(o.status.success(), "{}", String::from_utf8_lossy(&o.stderr));
+    let o = run(&[
+        "extract", "--graph", graph_s, "--size", "4", "--count", "5", "--out", queries_s,
+    ]);
+    assert!(o.status.success(), "{}", String::from_utf8_lossy(&o.stderr));
+    // One batch appending an isolated node: it binds no pivot of a
+    // connected query, so every replay answers like epoch 0.
+    std::fs::write(&updates, "v 0\ncommit\n").unwrap();
+
+    let total = |o: &Output| -> usize {
+        assert!(o.status.success(), "{}", String::from_utf8_lossy(&o.stderr));
+        let s = stdout(o);
+        let line = s.lines().find(|l| l.starts_with("total:")).expect("total line");
+        line.split_whitespace().nth(1).unwrap().parse().expect("valid count")
+    };
+    let want = total(&run(&["query", "--graph", graph_s, "--queries", queries_s]));
+    let batch = |extra: &[&str]| {
+        let mut args = vec!["batch", "--graph", graph_s, "--queries", queries_s, "--workers", "2"];
+        args.extend_from_slice(extra);
+        run(&args)
+    };
+    assert_eq!(total(&batch(&[])), want, "unsharded batch");
+    assert_eq!(total(&batch(&["--shards", "3"])), want, "sharded batch");
+    // With updates the workload is served once per epoch: twice here.
+    let updates_s = updates.to_str().unwrap();
+    let evolving = batch(&["--updates", updates_s]);
+    assert_eq!(total(&evolving), 2 * want, "evolving batch");
+    assert!(stdout(&evolving).contains("epoch 1: +1 nodes"), "{}", stdout(&evolving));
+    let sharded = batch(&["--shards", "3", "--updates", updates_s]);
+    assert_eq!(total(&sharded), 2 * want, "sharded evolving batch");
+    assert!(stdout(&sharded).contains("republished"), "{}", stdout(&sharded));
+    std::fs::remove_dir_all(&dir).ok();
+}
