@@ -654,7 +654,8 @@ pub fn update_report_line(id: u64, r: &UpdateReport) -> String {
 pub struct WireStats {
     /// [`ServiceStats`] of the backing service.
     pub service: ServiceStats,
-    /// Jobs currently queued behind the front door.
+    /// Queries currently queued behind the front door (the deepest
+    /// cell's queue on a sharded deployment).
     pub queue_depth: usize,
     /// Worker threads serving the queue.
     pub workers: usize,
